@@ -5,7 +5,9 @@
 // waste validations on them. The IOTA-style weighted walk starves such
 // side-branches; uniform selection falls for them in proportion to their
 // share of the tip pool. This bench quantifies both, plus the raw cost per
-// selection as the tangle grows.
+// selection as the tangle grows, on a quiescent tangle and on a live one
+// where every selection follows an attach. The walk's weight cap depends on
+// alpha, so lazy-tip resistance is recorded at several alphas.
 #include <cstdio>
 
 #include "consensus/pow.h"
@@ -103,10 +105,11 @@ void lazy_resistance(bench::Harness& h) {
   for (const double alpha : {0.0, 0.1, 0.5, 2.0}) {
     const tangle::WeightedWalkTipSelector walk(alpha);
     const double frac = measure(walk);
-    char name[32];
-    std::snprintf(name, sizeof name, "mcmc-walk alpha=%.1f", alpha);
-    std::printf("%-26s %14.3f\n", name, frac);
-    if (alpha == 0.5) h.record("lazy_fraction.walk_a0.5", frac, "ratio");
+    char alpha_text[16];
+    std::snprintf(alpha_text, sizeof alpha_text, "%.1f", alpha);
+    std::printf("mcmc-walk alpha=%-10s %14.3f\n", alpha_text, frac);
+    if (alpha > 0.0)
+      h.record(std::string("lazy_fraction.walk_a") + alpha_text, frac, "ratio");
   }
   std::printf("# expected: uniform ~= lazy share of the tip pool; walk "
               "fraction drops toward 0 as alpha grows\n");
@@ -114,7 +117,11 @@ void lazy_resistance(bench::Harness& h) {
 
 void selection_cost(bench::Harness& h) {
   std::printf("\n## selection cost vs tangle size (microseconds/selection)\n");
-  std::printf("%-10s %14s %14s\n", "txs", "uniform_us", "walk_us");
+  std::printf("# live_walk_us: each selection follows one attach on the "
+              "previous selection's pair, as on a gateway serving tips "
+              "while it admits\n");
+  std::printf("%-10s %14s %14s %14s\n", "txs", "uniform_us", "walk_us",
+              "live_walk_us");
 
   for (const int n : h.quick() ? std::vector<int>{100, 500}
                                 : std::vector<int>{100, 500, 2000, 8000}) {
@@ -133,14 +140,27 @@ void selection_cost(bench::Harness& h) {
     const tangle::WeightedWalkTipSelector walk(0.5);
     const double uniform_us = time_us(uniform, h.scale(200, 50));
     const double walk_us = time_us(walk, h.scale(20, 5));
-    std::printf("%-10d %14.2f %14.2f\n", n, uniform_us, walk_us);
+
+    Rng live_rng(4);
+    const int live_reps = h.scale(20, 5);
+    auto pair = walk.select(bed.tangle, live_rng);
+    double live_s = 0.0;
+    for (int i = 0; i < live_reps; ++i) {
+      bed.attach(pair.first, pair.second, 1.0 + n * 0.1 + i * 0.01);
+      const obs::WallTimer timer;
+      pair = walk.select(bed.tangle, live_rng);
+      live_s += timer.elapsed();
+    }
+    const double live_us = live_s * 1e6 / live_reps;
+
+    std::printf("%-10d %14.2f %14.2f %14.2f\n", n, uniform_us, walk_us, live_us);
     h.record("select_us.uniform.n" + std::to_string(n), uniform_us, "us/op");
     h.record("select_us.walk.n" + std::to_string(n), walk_us, "us/op");
+    h.record("select_us.walk_live.n" + std::to_string(n), live_us, "us/op");
   }
-  std::printf("# uniform is O(tips); the walk's weight map is generation-"
-              "cached, so on a quiescent tangle repeated selections cost "
-              "O(walk length) — only the first selection after an attach "
-              "pays the O(n) weight pass (see weight_cache_bench)\n");
+  std::printf("# uniform is O(tips); a walk step reads each approver's weight "
+              "capped at 1 + ceil(21 / alpha), so a selection costs O(walk "
+              "length x cap) whether or not the tangle just changed\n");
 }
 
 }  // namespace

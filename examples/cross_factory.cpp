@@ -108,11 +108,14 @@ int main() {
     const auto reading = factory::SensorReading::decode(plain.value());
     if (!reading) continue;
     if (++read_back == 1) {
+      // Gateway B counts approvers only up to its confirmation threshold.
+      const auto info = gateway_b.confirmation_status(id);
       std::printf("\nfactory B decrypts factory A's recipe from its own "
-                  "replica:\n  %s = %.1f %s (%s), tangle weight %zu\n",
+                  "replica:\n  %s = %.1f %s (%s), tangle weight %llu%s\n",
                   reading.value().sensor.c_str(), reading.value().value,
                   reading.value().unit.c_str(), reading.value().status.c_str(),
-                  gateway_b.tangle().cumulative_weight(id));
+                  static_cast<unsigned long long>(info.cumulative_weight),
+                  info.weight_confirmed ? " (confirmed)" : "");
     }
   }
   std::printf("\nfactory B recovered %zu recipe readings — trusted because "

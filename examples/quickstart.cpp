@@ -74,10 +74,14 @@ int main() {
   for (const auto& id : gateway.tangle().arrival_order()) {
     const auto* rec = gateway.tangle().find(id);
     if (rec->tx.type == tangle::TxType::kData) {
-      std::printf("  first reading on-chain: \"%s\" (tx %s..., weight %zu)\n",
+      // The gateway counts approvers only up to its confirmation threshold.
+      const auto info = gateway.confirmation_status(id);
+      std::printf("  first reading on-chain: \"%s\" (tx %s..., weight %llu of %zu%s)\n",
                   to_string(rec->tx.payload).c_str(),
                   id.hex().substr(0, 12).c_str(),
-                  gateway.tangle().cumulative_weight(id));
+                  static_cast<unsigned long long>(info.cumulative_weight),
+                  gw_config.confirmation_weight,
+                  info.weight_confirmed ? ", confirmed" : "");
       break;
     }
   }

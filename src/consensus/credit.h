@@ -72,7 +72,7 @@ struct CreditParams {
 };
 
 /// Maps TxId -> current weight (validation count). Supplied by the gateway,
-/// typically backed by tangle::approximate_weights or cumulative_weight.
+/// whose oracle is 1 + the direct approvals (Gateway::weight_oracle).
 using WeightOracle = std::function<double(const tangle::TxId&)>;
 
 /// Credit state for a single node.

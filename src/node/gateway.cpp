@@ -491,9 +491,8 @@ ConfirmationInfo Gateway::confirmation_status(const tangle::TxId& id) const {
   info.known = tangle_.contains(id);
   if (!info.known) return info;
   info.milestone_confirmed = milestones_.is_confirmed(id);
-  // O(1): the tangle maintains cumulative weight incrementally, so serving
-  // confirmation queries never re-sweeps the DAG (bench/weight_cache_bench).
-  info.cumulative_weight = tangle_.cumulative_weight(id);
+  // Capped at the threshold: the read stops once the answer is known.
+  info.cumulative_weight = tangle_.weight_at_least(id, config_.confirmation_weight);
   info.weight_confirmed = info.cumulative_weight >= config_.confirmation_weight;
   return info;
 }

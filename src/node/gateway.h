@@ -51,12 +51,12 @@ struct GatewayConfig {
   int fixed_difficulty = 11;  // used when policy == kFixed
   consensus::CreditParams credit;
   consensus::LazyTipPolicy lazy;
-  /// Cumulative-weight threshold for confirmation queries.
+  /// Cumulative-weight threshold for confirmation queries; the weight they
+  /// report saturates here.
   std::size_t confirmation_weight = 5;
   /// Tip selection handed to light nodes: uniform random over tips, or the
-  /// IOTA-style alpha-weighted MCMC walk (lazy-tip resistant; its weight map
-  /// is generation-cached, so a selection costs O(walk) unless the tangle
-  /// changed — see bench/weight_cache_bench).
+  /// IOTA-style alpha-weighted MCMC walk (lazy-tip resistant; it reads
+  /// weights capped by alpha, see tangle::WeightedWalkTipSelector).
   enum class TipStrategy { kUniform, kWeightedWalk } tips = TipStrategy::kUniform;
   double walk_alpha = 0.5;  // used when tips == kWeightedWalk
   /// Worker threads for offloaded-PoW attach requests (sharded nonce ranges,

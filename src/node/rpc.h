@@ -73,6 +73,8 @@ struct ConfirmationInfo {
   bool known = false;            // attached to the gateway's replica at all
   bool milestone_confirmed = false;
   bool weight_confirmed = false; // cumulative weight >= config threshold
+  /// Saturates at the serving gateway's confirmation_weight: the gateway
+  /// counts approvers only until the threshold is reached.
   std::uint64_t cumulative_weight = 0;
 
   Bytes encode() const;

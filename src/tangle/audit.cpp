@@ -26,8 +26,6 @@ class Auditor {
     check_order();
     check_parents_and_approvers();
     check_tips();
-    check_weights();
-    check_depths();
     check_indexes();
     check_summaries();
     check_ledger();
@@ -69,28 +67,17 @@ class Auditor {
     }
   }
 
-  // Parent pointers must resolve to the stored parent records (nullptr only
-  // for genesis sentinels and the deduplicated parent2 == parent1 case),
-  // and the approver lists must be the exact inverse of the parent edges.
+  // Every non-genesis parent must be a stored record, and the approver
+  // lists must be the exact inverse of the parent edges.
   void check_parents_and_approvers() {
     std::unordered_map<TxId, std::vector<TxId>, FixedBytesHash<32>> approvers;
     for (const auto& id : tangle_.arrival_order()) {
       const TxRecord* rec = tangle_.find(id);
       if (rec == nullptr) continue;  // reported by check_order
-      if (id == tangle_.genesis_id()) {
-        expect(rec->parent1_rec == nullptr && rec->parent2_rec == nullptr,
-               "parents.genesis",
-               "genesis record has non-null parent pointers");
-        continue;
-      }
-      expect(rec->parent1_rec == tangle_.find(rec->tx.parent1),
-             "parents.pointer",
-             "tx " + short_id(id) + " parent1 pointer does not match find()");
-      const TxRecord* want_p2 = rec->tx.parent2 != rec->tx.parent1
-                                    ? tangle_.find(rec->tx.parent2)
-                                    : nullptr;
-      expect(rec->parent2_rec == want_p2, "parents.pointer",
-             "tx " + short_id(id) + " parent2 pointer does not match find()");
+      if (id == tangle_.genesis_id()) continue;
+      expect(tangle_.contains(rec->tx.parent1) && tangle_.contains(rec->tx.parent2),
+             "parents.unknown",
+             "tx " + short_id(id) + " has a parent not in the tangle");
       approvers[rec->tx.parent1].push_back(id);
       if (rec->tx.parent2 != rec->tx.parent1)
         approvers[rec->tx.parent2].push_back(id);
@@ -120,39 +107,6 @@ class Auditor {
            "tip set has " + std::to_string(tangle_.tips().size()) +
                " ids, recomputed approver-free set has " +
                std::to_string(want.size()));
-  }
-
-  void check_weights() {
-    for (const auto& id : tangle_.arrival_order()) {
-      const std::size_t fast = tangle_.cumulative_weight(id);
-      const std::size_t brute = tangle_.cumulative_weight_brute_force(id);
-      expect(fast == brute, "weight.incremental",
-             "tx " + short_id(id) + " incremental weight " +
-                 std::to_string(fast) + " != brute-force " +
-                 std::to_string(brute));
-    }
-  }
-
-  void check_depths() {
-    // One reverse arrival-order sweep recomputes every depth (approvers
-    // always arrive later, so this is a valid topological order) — the same
-    // recurrence as Tangle::depth_brute_force without the per-id sweep.
-    std::unordered_map<TxId, std::size_t, FixedBytesHash<32>> memo;
-    const auto& order = tangle_.arrival_order();
-    for (auto it = order.rbegin(); it != order.rend(); ++it) {
-      const TxRecord* rec = tangle_.find(*it);
-      if (rec == nullptr) continue;
-      std::size_t best = 0;
-      for (const auto& ap : rec->approvers) {
-        const auto found = memo.find(ap);
-        if (found != memo.end()) best = std::max(best, found->second + 1);
-      }
-      memo[*it] = best;
-      expect(rec->depth == best, "depth.incremental",
-             "tx " + short_id(*it) + " incremental depth " +
-                 std::to_string(rec->depth) + " != brute-force " +
-                 std::to_string(best));
-    }
   }
 
   void check_index_vector(const std::vector<IndexEntry>& index,

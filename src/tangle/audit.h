@@ -1,16 +1,16 @@
 // Runtime invariant auditor for a tangle replica (DESIGN.md section 9).
 //
-// Every hot path in the tangle is incremental — cumulative weights and
-// depths are maintained by `add`, secondary indexes and the anti-entropy
-// summaries are folded in per transaction — and the brute-force reference
-// implementations those fast paths must agree with are only exercised by
-// property tests. `audit` turns that agreement into a runtime check that
-// can be run against any live or restored replica: it cross-validates the
-// incremental state against from-scratch recomputation and returns a
-// structured report of every violation instead of asserting, so callers
-// (tests, `biot_inspect --audit`, the BIOT_AUDIT=1 CI fixture) decide how
-// to fail. The whole audit is read-only and uses only the public Tangle
-// API; cost is O(n * E) dominated by the per-transaction weight BFS.
+// The tangle's derived state is folded in per transaction by `add` — the
+// approver lists, tip set, arrival positions, secondary indexes and the
+// anti-entropy summaries — and the brute-force reference implementations
+// that state must agree with are only exercised by property tests. `audit`
+// turns that agreement into a runtime check that can be run against any
+// live or restored replica: it cross-validates the incremental state
+// against from-scratch recomputation and returns a structured report of
+// every violation instead of asserting, so callers (tests, `biot_inspect
+// --audit`, the BIOT_AUDIT=1 CI fixture) decide how to fail. The whole
+// audit is read-only and uses only the public Tangle API; it walks no
+// approver cones, so cost is O(n log n) in the size of the replica.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +25,7 @@
 namespace biot::tangle {
 
 /// One broken invariant. `check` is a stable machine-grepable id
-/// ("weight.incremental", "index.sender", ...); `detail` names the exact
+/// ("order.pos", "index.sender", ...); `detail` names the exact
 /// transaction / index slot so the report is actionable on its own.
 struct AuditViolation {
   std::string check;
@@ -64,9 +64,8 @@ struct AuditInputs {
 /// provided, ledger/credit conservation) against brute-force recomputation:
 ///   - order/order_pos: arrival_order covers each record exactly once and
 ///     positions match;
-///   - parent resolution and approver lists agree with the stored txs;
+///   - parents are stored records and approver lists agree with the txs;
 ///   - tip set == { transactions with no approvers };
-///   - incremental cumulative weight / depth == the *_brute_force twins;
 ///   - secondary indexes (sender/type/arrival) are arrival-sorted and in
 ///     exact bijection with the transaction map; senders_first_seen is
 ///     duplicate-free and complete;

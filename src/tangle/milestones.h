@@ -4,7 +4,7 @@
 // alone in 2019: a Coordinator issued periodic signed "milestone"
 // transactions, and a transaction counted as confirmed once it lay in the
 // past cone (ancestor set) of a milestone. We implement both confirmation
-// rules — weight threshold (Tangle::is_confirmed) and milestones (this
+// rules — weight threshold (Tangle::weight_at_least) and milestones (this
 // header) — and the bench suite compares them.
 //
 // The tracker is incremental: each observed milestone walks only the not-

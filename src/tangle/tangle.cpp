@@ -1,19 +1,10 @@
 #include "tangle/tangle.h"
 
 #include <algorithm>
-#include <atomic>
 #include <deque>
 #include <unordered_set>
 
 namespace biot::tangle {
-
-namespace {
-// Process-wide generation source: every mutation of every tangle gets a
-// unique stamp, so caches keyed on (tangle, generation) can never be fooled
-// by a different tangle reusing the same address and count (see
-// Tangle::generation()).
-std::atomic<std::uint64_t> g_generation{0};
-}  // namespace
 
 Transaction Tangle::make_genesis(TimePoint timestamp) {
   Transaction g;
@@ -31,11 +22,6 @@ Tangle::Tangle(const Transaction& genesis) {
   tips_.insert(genesis_id_);
   order_.push_back(genesis_id_);
   index_tx(genesis, genesis_id_, genesis.timestamp);
-  bump_generation();
-}
-
-void Tangle::bump_generation() {
-  generation_ = ++g_generation;
 }
 
 Status Tangle::attach_precheck(const Transaction& tx) const {
@@ -72,7 +58,6 @@ void Tangle::AttachBatch::commit() {
   if (pending_.empty()) return;
   for (const auto* rec : pending_)
     tangle_.index_tx(rec->tx, rec->tx.id(), rec->arrival);
-  tangle_.bump_generation();
   pending_.clear();
 }
 
@@ -107,58 +92,12 @@ Status Tangle::add_impl(const Transaction& tx, TimePoint arrival,
   if (tx.difficulty == 0 || !pow_valid(tx))
     return Status::error(ErrorCode::kPowInvalid, "tangle: PoW does not meet difficulty");
 
+  // Before the emplace: a rehash there would invalidate p1/p2.
+  p1->second.approvers.push_back(id);
+  if (tx.parent2 != tx.parent1) p2->second.approvers.push_back(id);
   TxRecord& new_rec =
       records_.emplace(id, TxRecord{tx, arrival, {}}).first->second;
   new_rec.order_pos = order_.size();
-  new_rec.parent1_rec = &p1->second;
-  new_rec.parent2_rec = tx.parent2 != tx.parent1 ? &p2->second : nullptr;
-  p1->second.approvers.push_back(id);
-  if (tx.parent2 != tx.parent1) p2->second.approvers.push_back(id);
-
-  // Incremental cumulative weight: the new transaction indirectly approves
-  // exactly its ancestor cone, so each distinct ancestor gains +1. One BFS
-  // over the cone, deduplicated by visit stamps (what keeps diamonds from
-  // double-counting), following the cached parent pointers — no hashing, no
-  // allocation in steady state.
-  {
-    ++visit_epoch_;
-    cone_scratch_.clear();
-    auto visit = [&](TxRecord* p) {
-      if (p == nullptr || p->visit_mark == visit_epoch_) return;
-      p->visit_mark = visit_epoch_;
-      p->weight += 1;
-      cone_scratch_.push_back(p);
-    };
-    visit(new_rec.parent1_rec);
-    visit(new_rec.parent2_rec);
-    for (std::size_t i = 0; i < cone_scratch_.size(); ++i) {
-      TxRecord* cur = cone_scratch_[i];
-      visit(cur->parent1_rec);
-      visit(cur->parent2_rec);
-    }
-  }
-
-  // Incremental depth: the new tx is a fresh tip (depth 0); ancestors whose
-  // longest tip-path now runs through it relax upward. Propagation stops as
-  // soon as a longer path already dominates, so typical cost is the length
-  // of the newly-extended path, not the cone.
-  {
-    cone_scratch_.clear();
-    auto relax = [&](TxRecord* p, std::size_t candidate) {
-      if (p == nullptr || p->depth >= candidate) return;
-      p->depth = candidate;
-      cone_scratch_.push_back(p);
-    };
-    relax(new_rec.parent1_rec, 1);
-    relax(new_rec.parent2_rec, 1);
-    for (std::size_t i = 0; i < cone_scratch_.size(); ++i) {
-      TxRecord* cur = cone_scratch_[i];
-      // cur->depth may have been raised again since it was queued; relaxing
-      // from the live value keeps the propagation monotone and minimal.
-      relax(cur->parent1_rec, cur->depth + 1);
-      relax(cur->parent2_rec, cur->depth + 1);
-    }
-  }
 
   tips_.erase(tx.parent1);
   tips_.erase(tx.parent2);
@@ -166,13 +105,12 @@ Status Tangle::add_impl(const Transaction& tx, TimePoint arrival,
   order_.push_back(id);
   if (batch == nullptr) {
     index_tx(tx, id, arrival);
-    bump_generation();
   } else {
-    // Deferred maintenance: the index entries, summary toggles and the
-    // generation bump land in AttachBatch::commit(), in this attach order —
-    // the XOR digest/sketch folds are order-independent and insert_sorted
-    // sees the same monotone arrivals, so the post-commit state is
-    // identical to per-transaction indexing.
+    // Deferred maintenance: the index entries and summary toggles land in
+    // AttachBatch::commit(), in this attach order — the XOR digest/sketch
+    // folds are order-independent and insert_sorted sees the same monotone
+    // arrivals, so the post-commit state is identical to per-transaction
+    // indexing.
     batch->pending_.push_back(&new_rec);
   }
   return Status::ok();
@@ -271,12 +209,27 @@ std::size_t Tangle::approver_count(const TxId& id) const {
   return rec ? rec->approvers.size() : 0;
 }
 
-std::size_t Tangle::cumulative_weight(const TxId& id) const {
+std::size_t Tangle::weight_at_least(const TxId& id, std::size_t cap) const {
   const auto* rec = find(id);
-  return rec == nullptr ? 0 : rec->weight;
+  if (rec == nullptr || cap == 0) return 0;
+  // `seen` is both the BFS queue and the dedup set (what keeps diamonds from
+  // double-counting). At the small caps the readers use, a linear scan over
+  // it is cheaper than hashing, and the reserve means no reallocation.
+  std::vector<const TxRecord*> seen;
+  seen.reserve(std::min(cap, records_.size()));
+  seen.push_back(rec);
+  for (std::size_t i = 0; i < seen.size() && seen.size() < cap; ++i) {
+    for (const auto& ap : seen[i]->approvers) {
+      const auto* child = find(ap);
+      if (child == nullptr || std::ranges::find(seen, child) != seen.end()) continue;
+      seen.push_back(child);
+      if (seen.size() == cap) break;
+    }
+  }
+  return seen.size();
 }
 
-std::size_t Tangle::cumulative_weight_brute_force(const TxId& id) const {
+std::size_t Tangle::weight_at_least_brute_force(const TxId& id, std::size_t cap) const {
   const auto* rec = find(id);
   if (rec == nullptr) return 0;
 
@@ -290,54 +243,7 @@ std::size_t Tangle::cumulative_weight_brute_force(const TxId& id) const {
       if (visited.insert(ap).second) frontier.push_back(ap);
     }
   }
-  return visited.size();
-}
-
-bool Tangle::is_confirmed(const TxId& id, std::size_t weight_threshold) const {
-  return contains(id) && cumulative_weight(id) >= weight_threshold;
-}
-
-std::size_t Tangle::depth(const TxId& id) const {
-  const auto* rec = find(id);
-  return rec == nullptr ? 0 : rec->depth;
-}
-
-std::size_t Tangle::depth_brute_force(const TxId& id) const {
-  const auto* rec = find(id);
-  if (rec == nullptr) return 0;
-  // Longest path over the approver DAG via memoized DFS in arrival order:
-  // approvers always arrive later, so a reverse arrival-order sweep is a
-  // valid topological order.
-  std::unordered_map<TxId, std::size_t, FixedBytesHash<32>> memo;
-  for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
-    const auto& r = records_.at(*it);
-    std::size_t best = 0;
-    for (const auto& ap : r.approvers) best = std::max(best, memo[ap] + 1);
-    memo[*it] = best;
-  }
-  return memo.at(id);
-}
-
-WeightMap approximate_weights(const Tangle& tangle) {
-  WeightMap w;
-  const auto& order = tangle.arrival_order();
-  w.reserve(order.size());
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const auto* rec = tangle.find(*it);
-    double sum = 1.0;
-    for (const auto& ap : rec->approvers) sum += w[ap];
-    w[*it] = sum;
-  }
-  return w;
-}
-
-const WeightMap& ApproxWeightCache::get(const Tangle& tangle) {
-  if (tangle_ != &tangle || generation_ != tangle.generation()) {
-    weights_ = approximate_weights(tangle);
-    tangle_ = &tangle;
-    generation_ = tangle.generation();
-  }
-  return weights_;
+  return std::min(visited.size(), cap);
 }
 
 }  // namespace biot::tangle

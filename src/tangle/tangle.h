@@ -1,16 +1,11 @@
 // The tangle: a DAG of transactions where each new transaction approves two
-// former ones. Maintains the approval graph, the tip set, per-transaction
-// weights (number of direct + indirect validations, paper Section II-B) and
-// confirmation state.
+// former ones. Maintains the approval graph and the tip set. A transaction's
+// weight (number of direct + indirect validations, paper Section II-B) is
+// not stored: its readers compare it against a threshold, so
+// `weight_at_least` counts approvers on demand and stops there. Attach cost
+// therefore does not grow with the tangle.
 //
-// Weight/depth bookkeeping is *incremental*: every `add` propagates +1
-// cumulative weight through the new transaction's ancestor cone and relaxes
-// the longest-path depth upward, so `cumulative_weight`, `is_confirmed` and
-// `depth` are O(1) lookups instead of O(n) sweeps per call. The brute-force
-// sweeps are kept (suffixed `_brute_force`) as the reference implementation
-// for property tests and for the before/after bench.
-//
-// `add` additionally maintains secondary indexes (by sender, by type, by
+// `add` also maintains secondary indexes (by sender, by type, by
 // arrival time — see DESIGN.md section 9 for the atomicity invariants) plus
 // the anti-entropy set summaries from reconcile.h, so data queries, sync
 // diffing and snapshot account capture are O(results + log n) instead of
@@ -34,16 +29,6 @@ struct TxRecord {
   Transaction tx;
   TimePoint arrival = 0.0;             // local time the tangle accepted it
   std::vector<TxId> approvers;         // transactions that directly approve it
-  // Incrementally maintained consensus bookkeeping (see Tangle::add):
-  std::size_t weight = 1;              // 1 + distinct indirect approvers
-  std::size_t depth = 0;               // longest approval path from any tip
-  // Resolved parent records (nullptr for genesis' zero-id sentinel parents).
-  // unordered_map element addresses are stable across insert and move, and
-  // Tangle is move-only, so these never dangle. They let the add-path cone
-  // walk follow pointers instead of re-hashing 32-byte ids.
-  TxRecord* parent1_rec = nullptr;
-  TxRecord* parent2_rec = nullptr;
-  std::uint64_t visit_mark = 0;        // add-path BFS stamp (internal)
   // Position in arrival_order(). Sorting any id subset by this ships
   // parents before children (a parent always attaches first).
   std::size_t order_pos = 0;
@@ -65,8 +50,8 @@ class Tangle {
 
   explicit Tangle(const Transaction& genesis);
 
-  // Move-only: TxRecord caches pointers into the record map, which stay
-  // valid across moves (node ownership transfers) but not across copies.
+  // Move-only: a replica holds the whole history, so a copy would almost
+  // always be an accident.
   Tangle(const Tangle&) = delete;
   Tangle& operator=(const Tangle&) = delete;
   Tangle(Tangle&&) = default;
@@ -84,17 +69,15 @@ class Tangle {
                            const VerifiedToken& token);
 
   /// Scoped single-writer attach batch. add() performs the full structural
-  /// attach immediately — records, approvers, tips, arrival order, weight
-  /// and depth propagation all stay live, so later batch members can parent
-  /// on earlier ones and duplicate/lazy checks see the true DAG — but the
-  /// secondary-index inserts, the XOR digest / SetSketch toggles and the
-  /// generation bump are deferred to one commit() epilogue, amortizing
-  /// their maintenance across the batch (one cache invalidation per batch
-  /// instead of one per transaction). Mid-batch, readers of the DEFERRED
-  /// state (data_since, arrival_index, id_digest/id_sketch, generation-
-  /// keyed caches) see the pre-batch snapshot; the admission loop is the
-  /// only writer and reads none of them, and commit() runs before control
-  /// returns to anything that does.
+  /// attach immediately — records, approvers, tips and arrival order all
+  /// stay live, so later batch members can parent on earlier ones and
+  /// duplicate/lazy checks see the true DAG — but the secondary-index
+  /// inserts and the XOR digest / SetSketch toggles are deferred to one
+  /// commit() epilogue, amortizing their maintenance across the batch.
+  /// Mid-batch, readers of the DEFERRED state (data_since, arrival_index,
+  /// id_digest/id_sketch) see the pre-batch snapshot; the admission loop is
+  /// the only writer and reads none of them, and commit() runs before
+  /// control returns to anything that does.
   ///
   /// Failed add() calls leave no trace, exactly like Tangle::add. The
   /// destructor commits whatever attached, so a batch cannot be dropped
@@ -111,8 +94,8 @@ class Tangle {
     [[nodiscard]] Status add(const Transaction& tx, TimePoint arrival,
                              const VerifiedToken& token);
 
-    /// Applies the deferred index/digest/sketch updates and bumps the
-    /// generation once. Idempotent; called by the destructor.
+    /// Applies the deferred index/digest/sketch updates. Idempotent; called
+    /// by the destructor.
     void commit();
 
     /// Attaches not yet indexed (zero after commit()).
@@ -154,35 +137,21 @@ class Tangle {
   /// Ids in arrival order (stable iteration for benches/metrics).
   const std::vector<TxId>& arrival_order() const { return order_; }
 
-  /// Mutation stamp for generation-based cache invalidation. Stamps are
-  /// drawn from a process-wide monotone counter, so two *different* tangle
-  /// states never share a generation — even across move-assignment (e.g. a
-  /// gateway swapping in a pruned replica at the same address). Equal
-  /// generation therefore guarantees an identical DAG.
-  std::uint64_t generation() const { return generation_; }
-
   std::size_t approver_count(const TxId& id) const;
 
-  /// Exact cumulative weight: 1 + number of distinct transactions that
-  /// directly or indirectly approve `id`. O(1) — maintained by `add`.
-  std::size_t cumulative_weight(const TxId& id) const;
+  /// min(cumulative weight of `id`, cap), where the cumulative weight is 1 +
+  /// the number of distinct transactions that directly or indirectly
+  /// approve `id`; 0 for an unknown id. A breadth-first walk over approvers
+  /// that stops once it has counted `cap` records, so the cost is bounded
+  /// by `cap`, not by the tangle. A transaction is confirmed once this
+  /// reaches the threshold (the paper's analogue of bitcoin's six-block
+  /// security). Reads through find() into local scratch only, so concurrent
+  /// const readers are safe.
+  std::size_t weight_at_least(const TxId& id, std::size_t cap) const;
 
-  /// Reference implementation of `cumulative_weight`: full BFS over the
-  /// approver graph. Kept for property tests and benches only.
-  std::size_t cumulative_weight_brute_force(const TxId& id) const;
-
-  /// A transaction is confirmed once its cumulative weight reaches the
-  /// threshold (the paper's analogue of bitcoin's six-block security).
-  bool is_confirmed(const TxId& id, std::size_t weight_threshold) const;
-
-  /// Depth of `id`: longest approval path from any tip down to it. Genesis
-  /// has the largest depth. Used by lazy-tip detection heuristics.
-  /// O(1) — maintained by `add`.
-  std::size_t depth(const TxId& id) const;
-
-  /// Reference implementation of `depth`: full reverse-topological sweep.
-  /// Kept for property tests and benches only.
-  std::size_t depth_brute_force(const TxId& id) const;
+  /// Reference implementation of `weight_at_least`: the full approver BFS,
+  /// then the cap. Kept for property tests only.
+  std::size_t weight_at_least_brute_force(const TxId& id, std::size_t cap) const;
 
   // ---- Secondary indexes (maintained by `add`, O(1) amortized each) ------
 
@@ -225,14 +194,14 @@ class Tangle {
   const SetSketch& id_sketch() const { return id_sketch_; }
 
  private:
-  // Lets the auditor's negative tests corrupt internal state (weights,
-  // index entries, digests) on a rebuilt tangle to prove tangle/audit.h
-  // detects the damage. Defined only in tests — never in product code.
+  // Lets the auditor's negative tests corrupt internal state (order
+  // positions, index entries, digests) on a rebuilt tangle to prove
+  // tangle/audit.h detects the damage. Defined only in tests — never in
+  // product code.
   friend struct TangleTestAccess;
 
   Status add_impl(const Transaction& tx, TimePoint arrival, bool pre_verified,
                   AttachBatch* batch = nullptr);
-  void bump_generation();
   void index_tx(const Transaction& tx, const TxId& id, TimePoint arrival);
   static void insert_sorted(std::vector<IndexEntry>& index, IndexEntry entry);
 
@@ -240,9 +209,6 @@ class Tangle {
   std::set<TxId> tips_;
   std::vector<TxId> order_;
   TxId genesis_id_;
-  std::uint64_t generation_ = 0;
-  std::uint64_t visit_epoch_ = 0;       // stamps one add-path BFS
-  std::vector<TxRecord*> cone_scratch_;  // reused BFS frontier (no allocs)
 
   std::unordered_map<AccountKey, std::vector<IndexEntry>, FixedBytesHash<32>>
       by_sender_;
@@ -251,27 +217,6 @@ class Tangle {
   std::vector<IndexEntry> by_arrival_;
   IdDigest id_digest_;
   SetSketch id_sketch_;
-};
-
-using WeightMap = std::unordered_map<TxId, double, FixedBytesHash<32>>;
-
-/// Approximate weights for every transaction (see Tangle::cumulative_weight
-/// for the exact version): one reverse-topological pass, additive children
-/// rule. Returned map is keyed by TxId.
-WeightMap approximate_weights(const Tangle& tangle);
-
-/// Memoizes `approximate_weights` keyed on the tangle's generation stamp:
-/// `get` recomputes only when the tangle mutated (or a different tangle is
-/// passed) since the last call. See DESIGN.md "Incremental weight engine"
-/// for the invalidation contract.
-class ApproxWeightCache {
- public:
-  const WeightMap& get(const Tangle& tangle);
-
- private:
-  const Tangle* tangle_ = nullptr;
-  std::uint64_t generation_ = 0;
-  WeightMap weights_;
 };
 
 }  // namespace biot::tangle

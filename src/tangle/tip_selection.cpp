@@ -1,5 +1,6 @@
 #include "tangle/tip_selection.h"
 
+#include <algorithm>
 #include <cmath>
 #include <iterator>
 #include <vector>
@@ -22,13 +23,29 @@ TipPair UniformRandomTipSelector::select(const Tangle& tangle, Rng& rng) const {
   return {*pool[i], *pool[j]};
 }
 
-TxId WeightedWalkTipSelector::walk(const Tangle& tangle, const TxId& start,
-                                   const WeightMap& weights, Rng& rng) const {
-  const auto weight_of = [&weights](const TxId& id) {
-    const auto it = weights.find(id);
-    return it == weights.end() ? 0.0 : it->second;
-  };
+namespace {
 
+// The walk's weight cap: a branch lighter than a saturated sibling by the
+// whole cap is taken with relative probability exp(-alpha * (cap - 1)),
+// below e^-21. 0 (no weight reads) for alpha = 0. The min keeps a tiny
+// alpha from overflowing the conversion; such a cap is unbounded anyway.
+std::size_t walk_weight_cap(double alpha) {
+  if (alpha <= 0.0) return 0;
+  return 1 + static_cast<std::size_t>(std::ceil(std::min(21.0 / alpha, 1e15)));
+}
+
+}  // namespace
+
+WeightedWalkTipSelector::WeightedWalkTipSelector(double alpha,
+                                                 std::size_t max_walk_depth)
+    : alpha_(alpha),
+      max_walk_depth_(max_walk_depth),
+      weight_cap_(walk_weight_cap(alpha)) {}
+
+TxId WeightedWalkTipSelector::walk(const Tangle& tangle, const TxId& start,
+                                   Rng& rng) const {
+  std::vector<std::size_t> weights;
+  std::vector<double> cumulative;
   TxId current = start;
   for (;;) {
     const auto* rec = tangle.find(current);
@@ -38,26 +55,30 @@ TxId WeightedWalkTipSelector::walk(const Tangle& tangle, const TxId& start,
       const auto& tips = tangle.tips();
       return tips.empty() ? current : *tips.begin();
     }
-    if (rec->approvers.empty()) return current;  // reached a tip
+    const auto& approvers = rec->approvers;
+    if (approvers.empty()) return current;  // reached a tip
 
     // Transition probabilities proportional to exp(alpha * w); normalize by
-    // the max exponent for numerical stability.
-    double max_w = 0.0;
-    for (const auto& ap : rec->approvers)
-      max_w = std::max(max_w, weight_of(ap));
-
-    std::vector<double> cumulative;
-    cumulative.reserve(rec->approvers.size());
+    // the max exponent for numerical stability. A lone approver needs no
+    // weight, but still takes its draw so the rng stream does not depend on
+    // the cap.
+    weights.assign(approvers.size(), 0);
+    if (weight_cap_ > 0 && approvers.size() > 1) {
+      for (std::size_t i = 0; i < approvers.size(); ++i)
+        weights[i] = tangle.weight_at_least(approvers[i], weight_cap_);
+    }
+    const auto max_w = static_cast<double>(*std::ranges::max_element(weights));
+    cumulative.clear();
     double total = 0.0;
-    for (const auto& ap : rec->approvers) {
-      total += std::exp(alpha_ * (weight_of(ap) - max_w));
+    for (const std::size_t w : weights) {
+      total += std::exp(alpha_ * (static_cast<double>(w) - max_w));
       cumulative.push_back(total);
     }
 
     const double pick = rng.uniform(0.0, total);
     std::size_t idx = 0;
     while (idx + 1 < cumulative.size() && cumulative[idx] <= pick) ++idx;
-    current = rec->approvers[idx];
+    current = approvers[idx];
     ++last_walk_steps_;
   }
 }
@@ -68,29 +89,28 @@ TxId WeightedWalkTipSelector::anchor(const Tangle& tangle, Rng& rng) const {
 
   auto it = tips.begin();
   std::advance(it, rng.index(tips.size()));
-  const TxRecord* rec = tangle.find(*it);
   TxId current = *it;
-  for (std::size_t step = 0;
-       rec != nullptr && rec->parent1_rec != nullptr && step < max_walk_depth_;
-       ++step) {
+  const TxRecord* rec = tangle.find(current);
+  for (std::size_t step = 0; rec != nullptr && step < max_walk_depth_; ++step) {
+    // Genesis' parents are the zero-id sentinel, which find() does not know.
+    const TxRecord* parent = tangle.find(rec->tx.parent1);
+    if (parent == nullptr) break;
     current = rec->tx.parent1;
-    rec = rec->parent1_rec;
+    rec = parent;
   }
   return current;
 }
 
 TipPair WeightedWalkTipSelector::select(const Tangle& tangle, Rng& rng) const {
   last_walk_steps_ = 0;  // walk() accumulates across the two walks below
-  const auto& weights = cache_.get(tangle);
   if (max_walk_depth_ == 0) {
     const auto& start = tangle.genesis_id();
-    return {walk(tangle, start, weights, rng),
-            walk(tangle, start, weights, rng)};
+    return {walk(tangle, start, rng), walk(tangle, start, rng)};
   }
   // Depth-windowed mode: independent anchors for the two walks so the pair
   // is not forced through one shared subtangle.
-  return {walk(tangle, anchor(tangle, rng), weights, rng),
-          walk(tangle, anchor(tangle, rng), weights, rng)};
+  return {walk(tangle, anchor(tangle, rng), rng),
+          walk(tangle, anchor(tangle, rng), rng)};
 }
 
 }  // namespace biot::tangle

@@ -39,13 +39,14 @@ class UniformRandomTipSelector final : public TipSelector {
 
 /// IOTA-style alpha-weighted Markov-chain walk from genesis toward the tips.
 /// At each step the walker moves to approver `a` with probability
-/// proportional to exp(alpha * w(a)), where w is the fast approximate
-/// cumulative weight. alpha = 0 degenerates to an unweighted walk; larger
-/// alpha concentrates on the main tangle and abandons lazy side-branches.
-///
-/// The weight map is cached across calls and recomputed only when the
-/// tangle's generation stamp moves, so repeated selections on a quiescent
-/// tangle are O(walk length), not O(n).
+/// proportional to exp(alpha * w(a)), where w is the cumulative weight read
+/// through Tangle::weight_at_least with the cap 1 + ceil(21 / alpha). A
+/// branch lighter than a saturated sibling by the whole cap is then taken
+/// with probability below e^-21 per step, while each read stays bounded by
+/// the cap instead of the tangle. Branches at or above the cap count as
+/// equally heavy. alpha = 0 degenerates to an unweighted walk that reads no
+/// weights; larger alpha concentrates on the main tangle and abandons lazy
+/// side-branches. The walk keeps no state between calls.
 ///
 /// `max_walk_depth` bounds the walk length IOTA-style: when nonzero, each
 /// walk starts from an *anchor* found by following parent1 links
@@ -55,8 +56,8 @@ class UniformRandomTipSelector final : public TipSelector {
 /// actually happens. 0 (the default) keeps the full genesis walk.
 class WeightedWalkTipSelector final : public TipSelector {
  public:
-  explicit WeightedWalkTipSelector(double alpha, std::size_t max_walk_depth = 0)
-      : alpha_(alpha), max_walk_depth_(max_walk_depth) {}
+  /// `alpha` >= 0.
+  explicit WeightedWalkTipSelector(double alpha, std::size_t max_walk_depth = 0);
   TipPair select(const Tangle& tangle, Rng& rng) const override;
 
   /// Edges traversed by both walks of the last select().
@@ -64,10 +65,8 @@ class WeightedWalkTipSelector final : public TipSelector {
 
   /// One walk from `start` toward the tips. Defensive against bad inputs:
   /// an id unknown to `tangle` (or a walk stepping onto one) falls back to
-  /// an arbitrary current tip, and a transaction missing from `weights`
-  /// counts as weight 0 instead of throwing.
-  TxId walk(const Tangle& tangle, const TxId& start, const WeightMap& weights,
-            Rng& rng) const;
+  /// an arbitrary current tip, and an unknown approver weighs 0.
+  TxId walk(const Tangle& tangle, const TxId& start, Rng& rng) const;
 
  private:
   /// Walk start for the depth-windowed mode: a random tip, then parent1
@@ -76,7 +75,7 @@ class WeightedWalkTipSelector final : public TipSelector {
 
   double alpha_;
   std::size_t max_walk_depth_;
-  mutable ApproxWeightCache cache_;
+  std::size_t weight_cap_;  // 0 when alpha is 0: no weight reads
   mutable std::size_t last_walk_steps_ = 0;
 };
 

@@ -1,9 +1,9 @@
 // Invariant-auditor tests (tangle/audit.h): a clean tangle audits clean,
-// and every class of deliberate corruption — incremental weight/depth,
-// secondary indexes, order positions, anti-entropy summaries, tip set,
-// ledger/credit conservation — is detected and named in the report. The
-// negative tests are what prove the audit gate actually gates: a checker
-// that cannot see seeded damage would pass every CI run vacuously.
+// and every class of deliberate corruption — secondary indexes, order
+// positions, anti-entropy summaries, tip set, ledger/credit conservation —
+// is detected and named in the report. The negative tests are what prove
+// the audit gate actually gates: a checker that cannot see seeded damage
+// would pass every CI run vacuously.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,12 +17,6 @@ namespace biot::tangle {
 // Test-only backdoor (friend of Tangle) used to damage internal state that
 // the public API rightly refuses to expose mutably.
 struct TangleTestAccess {
-  static void corrupt_weight(Tangle& t, const TxId& id, std::size_t delta) {
-    t.records_.at(id).weight += delta;
-  }
-  static void corrupt_depth(Tangle& t, const TxId& id, std::size_t depth) {
-    t.records_.at(id).depth = depth;
-  }
   static void corrupt_order_pos(Tangle& t, const TxId& id) {
     t.records_.at(id).order_pos += 1;
   }
@@ -85,21 +79,6 @@ TEST_F(AuditTest, CleanTangleAuditsClean) {
   EXPECT_EQ(report.to_string().substr(0, 8), "audit ok");
 }
 
-TEST_F(AuditTest, DetectsCorruptedCumulativeWeight) {
-  TangleTestAccess::corrupt_weight(tangle_, mid_id(), 7);
-  const auto report = audit(tangle_);
-  EXPECT_FALSE(report.ok());
-  EXPECT_TRUE(has_violation(report, "weight.incremental"))
-      << report.to_string();
-}
-
-TEST_F(AuditTest, DetectsCorruptedDepth) {
-  TangleTestAccess::corrupt_depth(tangle_, mid_id(), 99);
-  const auto report = audit(tangle_);
-  EXPECT_TRUE(has_violation(report, "depth.incremental"))
-      << report.to_string();
-}
-
 TEST_F(AuditTest, DetectsCorruptedOrderPos) {
   TangleTestAccess::corrupt_order_pos(tangle_, mid_id());
   EXPECT_TRUE(has_violation(audit(tangle_), "order.pos"));
@@ -131,7 +110,7 @@ TEST_F(AuditTest, DetectsFakeTip) {
 }
 
 TEST_F(AuditTest, ReportNamesTheOffendingTransaction) {
-  TangleTestAccess::corrupt_weight(tangle_, mid_id(), 3);
+  TangleTestAccess::corrupt_order_pos(tangle_, mid_id());
   const auto report = audit(tangle_);
   ASSERT_FALSE(report.ok());
   // The detail must identify the transaction so the report is actionable.

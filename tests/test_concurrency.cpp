@@ -209,17 +209,15 @@ TEST(AttachBatchTest, BatchedAttachMatchesSerialAddsExactly) {
         << "item " << i;
   }
 
-  // Byte-identical end state: digest, sketch, order, tips, per-id weights
-  // and depths, and the secondary indexes (via the full invariant audit).
+  // Byte-identical end state: digest, sketch, order, tips, per-id approver
+  // lists, and the secondary indexes (via the full invariant audit).
   EXPECT_EQ(batched.id_digest(), serial.id_digest());
   EXPECT_EQ(batched.id_sketch(), serial.id_sketch());
   EXPECT_EQ(batched.arrival_order(), serial.arrival_order());
   EXPECT_EQ(batched.tips(), serial.tips());
   EXPECT_EQ(batched.size(), serial.size());
-  for (const auto& id : serial.arrival_order()) {
-    EXPECT_EQ(batched.cumulative_weight(id), serial.cumulative_weight(id));
-    EXPECT_EQ(batched.depth(id), serial.depth(id));
-  }
+  for (const auto& id : serial.arrival_order())
+    EXPECT_EQ(batched.find(id)->approvers, serial.find(id)->approvers);
   testutil::expect_audit_clean(batched);
 }
 

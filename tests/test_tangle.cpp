@@ -1,5 +1,5 @@
 // Tangle substrate tests: transaction encoding/signing/PoW, DAG invariants,
-// tip tracking, weights, confirmation and depth.
+// tip tracking, capped weights and confirmation.
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -193,11 +193,13 @@ TEST_F(TangleTest, CumulativeWeightCountsDescendants) {
   const auto a = attach(alice_, g, g);
   const auto b = attach(bob_, a.id(), g);
   const auto c = attach(alice_, b.id(), a.id());
-  // genesis is approved by everything.
-  EXPECT_EQ(tangle_.cumulative_weight(g), 4u);
-  EXPECT_EQ(tangle_.cumulative_weight(a.id()), 3u);
-  EXPECT_EQ(tangle_.cumulative_weight(b.id()), 2u);
-  EXPECT_EQ(tangle_.cumulative_weight(c.id()), 1u);
+  // genesis is approved by everything; a cap above the size reads exactly.
+  EXPECT_EQ(tangle_.weight_at_least(g, 10), 4u);
+  EXPECT_EQ(tangle_.weight_at_least(a.id(), 10), 3u);
+  EXPECT_EQ(tangle_.weight_at_least(b.id(), 10), 2u);
+  EXPECT_EQ(tangle_.weight_at_least(c.id(), 10), 1u);
+  // A lower cap saturates.
+  EXPECT_EQ(tangle_.weight_at_least(g, 2), 2u);
 }
 
 TEST_F(TangleTest, CumulativeWeightNoDoubleCountOnDiamond) {
@@ -208,39 +210,17 @@ TEST_F(TangleTest, CumulativeWeightNoDoubleCountOnDiamond) {
   const auto c = attach(alice_, a.id(), a.id());
   const auto d = attach(bob_, b.id(), c.id());
   (void)d;
-  EXPECT_EQ(tangle_.cumulative_weight(a.id()), 4u);
+  EXPECT_EQ(tangle_.weight_at_least(a.id(), 10), 4u);
 }
 
 TEST_F(TangleTest, ConfirmationThreshold) {
   const auto g = tangle_.genesis_id();
   const auto a = attach(alice_, g, g);
-  EXPECT_FALSE(tangle_.is_confirmed(a.id(), 3));
+  EXPECT_LT(tangle_.weight_at_least(a.id(), 3), 3u);
   const auto b = attach(bob_, a.id(), a.id());
   const auto c = attach(alice_, b.id(), a.id());
   (void)c;
-  EXPECT_TRUE(tangle_.is_confirmed(a.id(), 3));
-}
-
-TEST_F(TangleTest, DepthGrowsTowardGenesis) {
-  const auto g = tangle_.genesis_id();
-  const auto a = attach(alice_, g, g);
-  const auto b = attach(bob_, a.id(), a.id());
-  EXPECT_EQ(tangle_.depth(b.id()), 0u);
-  EXPECT_EQ(tangle_.depth(a.id()), 1u);
-  EXPECT_EQ(tangle_.depth(g), 2u);
-}
-
-TEST_F(TangleTest, ApproximateWeightsUpperBoundExact) {
-  const auto g = tangle_.genesis_id();
-  const auto a = attach(alice_, g, g);
-  const auto b = attach(bob_, a.id(), g);
-  const auto c = attach(alice_, b.id(), a.id());
-  (void)c;
-  const auto approx = approximate_weights(tangle_);
-  for (const auto& id : tangle_.arrival_order()) {
-    EXPECT_GE(approx.at(id) + 1e-9,
-              static_cast<double>(tangle_.cumulative_weight(id)));
-  }
+  EXPECT_EQ(tangle_.weight_at_least(a.id(), 3), 3u);
 }
 
 TEST_F(TangleTest, ArrivalOrderIsInsertionOrder) {
@@ -280,12 +260,13 @@ TEST_P(TangleGrowthTest, InvariantsHoldUnderRandomGrowth) {
     }
   }
   // Genesis dominates: its cumulative weight counts every transaction.
-  EXPECT_EQ(tangle.cumulative_weight(tangle.genesis_id()), tangle.size());
+  const std::size_t all = tangle.size();
+  EXPECT_EQ(tangle.weight_at_least(tangle.genesis_id(), all), all);
   // Weight antisymmetry: child weight strictly below parent weight when the
   // child approves the parent.
   const auto& some_tip = *tangle.tips().begin();
-  EXPECT_LT(tangle.cumulative_weight(some_tip),
-            tangle.cumulative_weight(tangle.genesis_id()));
+  EXPECT_LT(tangle.weight_at_least(some_tip, all),
+            tangle.weight_at_least(tangle.genesis_id(), all));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TangleGrowthTest, ::testing::Values(1, 2, 3, 7, 11));

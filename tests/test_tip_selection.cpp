@@ -117,6 +117,33 @@ TEST_F(TipSelectionTest, ZeroAlphaWalkSplitsRoughlyEvenly) {
   EXPECT_LT(frac, 0.65);
 }
 
+TEST_F(TipSelectionTest, WalkStarvesLazyTipOnADeepTangle) {
+  // A lazy tx off genesis, then an honest ladder: two txs per level, each
+  // approving both txs of the level below, so the number of paths doubles
+  // per level. Weights that counted paths overflowed to inf near level 1024;
+  // exp(alpha * (inf - inf)) is NaN and every pick fell to approvers[0], the
+  // lazy tip. Capped weights stay finite at any depth.
+  const auto g = tangle_.genesis_id();
+  const auto lazy = attach(g, g);
+  TxId below1 = g;
+  TxId below2 = g;
+  for (int level = 0; level < 1100; ++level) {
+    const auto a = node_.make(below1, below2, 1);
+    const auto b = node_.make(below1, below2, 1);
+    ASSERT_TRUE(tangle_.add(a, 0.0, VerifiedToken::assume_valid(a)).is_ok());
+    ASSERT_TRUE(tangle_.add(b, 0.0, VerifiedToken::assume_valid(b)).is_ok());
+    below1 = a.id();
+    below2 = b.id();
+  }
+
+  WeightedWalkTipSelector selector(0.5);
+  for (int i = 0; i < 20; ++i) {
+    const auto [t1, t2] = selector.select(tangle_, rng_);
+    EXPECT_NE(t1, lazy);
+    EXPECT_NE(t2, lazy);
+  }
+}
+
 TEST_F(TipSelectionTest, LazySelectorIgnoresFreshTips) {
   const auto g = tangle_.genesis_id();
   const auto old1 = attach(g, g);

@@ -30,7 +30,7 @@ inline bool audit_env_enabled() {
   return value != nullptr && value[0] == '1';
 }
 
-/// Opt-in audit for the broader suites: the O(n * E) sweep only runs when
+/// Opt-in audit for the broader suites: the O(n log n) sweep only runs when
 /// BIOT_AUDIT=1, so routine local runs stay fast while the sanitizer CI
 /// jobs audit every tangle these call sites build.
 inline void audit_if_enabled(const tangle::Tangle& tangle) {

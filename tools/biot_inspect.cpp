@@ -64,9 +64,8 @@ int inspect_tangle(const std::string& path, const tools::CliArgs& args) {
     return 1;
   }
   std::printf("== tangle %s ==\n", path.c_str());
-  std::printf("size: %zu, tips: %zu, genesis depth: %zu\n",
-              tangle.value().size(), tangle.value().tips().size(),
-              tangle.value().depth(tangle.value().genesis_id()));
+  std::printf("size: %zu, tips: %zu\n", tangle.value().size(),
+              tangle.value().tips().size());
 
   std::vector<std::pair<tangle::Transaction, double>> txs;
   for (const auto& id : tangle.value().arrival_order()) {
@@ -100,9 +99,6 @@ int inspect_tangle(const std::string& path, const tools::CliArgs& args) {
     const auto scope = registry.scope("tangle");
     scope.gauge("size").set(static_cast<double>(tangle.value().size()));
     scope.gauge("tips").set(static_cast<double>(tangle.value().tips().size()));
-    scope.gauge("genesis_depth")
-        .set(static_cast<double>(
-            tangle.value().depth(tangle.value().genesis_id())));
     auto& payload_bytes =
         scope.histogram("payload_bytes", obs::HistogramSpec::size());
     auto& arrival_s =
